@@ -4,25 +4,19 @@
 // workloads (two Fig. 9 intra-block apps, one Fig. 12 inter-block app) and
 // writes BENCH_host_perf.json so successive commits can be compared with
 // tools/bench_host.py. The simulated cycle counts in the output double as a
-// determinism canary: they must never move between runs or schedulers.
+// determinism canary: they must never move between runs.
 //
-// A fourth section times a 16-cluster machine (16 blocks x 4 cores) under
-// both the direct scheduler and the sharded engine — the configuration the
-// sharded mode exists for. Both entries land in the same result file, so
-// the cycle-identity canary and the shard speedup are checked against each
-// other by tools/bench_host.py --check-sharded.
+// A fourth section times a 16-cluster machine (16 blocks x 4 cores), with
+// and without the coherence oracle attached.
 //
 //   bench_host_perf                 # 5 repeats per workload (median)
 //   bench_host_perf --smoke         # 1 repeat, for CI
 //   bench_host_perf --repeats 9
-//   bench_host_perf --legacy-scheduler   # A/B the scheduler rewrite
-//   bench_host_perf --shard-threads 8    # sharded-entry worker count
 //   bench_host_perf --out my.json
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "apps/workload.hpp"
 #include "stats/host_perf.hpp"
@@ -48,24 +42,10 @@ constexpr Item kItems[] = {
     {"jacobi", Config::InterAddrL, "Addr+L"},
 };
 
-// Appends host-side execution provenance to a HostPerfResult JSON object so
-// tools/bench_host.py can refuse speedup claims from entries that silently
-// fell back to one-quantum-at-a-time serialize mode.
-std::string with_provenance(std::string entry, int workers, bool serialized) {
-  entry.pop_back();  // strip the closing '}'
-  entry += ",\"shard_workers\":" + std::to_string(workers) +
-           ",\"shard_serialize\":";
-  entry += serialized ? "true" : "false";
-  entry += '}';
-  return entry;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int repeats = 5;
-  bool legacy = false;
-  int shard_threads = 4;
   std::string out = "BENCH_host_perf.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -73,16 +53,12 @@ int main(int argc, char** argv) {
       repeats = 1;
     } else if (arg == "--repeats" && i + 1 < argc) {
       repeats = std::atoi(argv[++i]);
-    } else if (arg == "--legacy-scheduler") {
-      legacy = true;
-    } else if (arg == "--shard-threads" && i + 1 < argc) {
-      shard_threads = std::atoi(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: bench_host_perf [--smoke] [--repeats N] "
-                   "[--legacy-scheduler] [--shard-threads N] [--out FILE]\n");
+                   "[--out FILE]\n");
       return 1;
     }
   }
@@ -90,13 +66,8 @@ int main(int argc, char** argv) {
 
   std::string json = "{\"schema_version\":" +
                      std::to_string(kStatsSchemaVersion) +
-                     ",\"scheduler\":\"";
-  json += legacy ? "legacy" : "direct";
-  json += "\",\"repeats\":" + std::to_string(repeats) +
-          ",\"host_cpus\":" +
-          std::to_string(std::thread::hardware_concurrency()) +
-          ",\"shard_threads\":" + std::to_string(shard_threads) +
-          ",\"workloads\":{";
+                     ",\"repeats\":" + std::to_string(repeats) +
+                     ",\"workloads\":{";
 
   bool first = true;
   for (const Item& it : kItems) {
@@ -105,18 +76,12 @@ int main(int argc, char** argv) {
     // Timing loop: skip the per-load shadow-read + memcmp of the staleness
     // monitor (stats-only; the simulated cycles are identical either way).
     mc.staleness_monitor = false;
-    mc.legacy_scheduler = legacy;
     mc.validate();
 
-    int workers = 0;
-    bool serialized = false;
     const HostPerfResult r = time_runs(repeats, [&]() -> Cycle {
       auto w = make_workload(it.app);
       Machine m(mc, it.cfg);
-      const Cycle cy = run_workload(*w, m, mc.total_cores());
-      workers = m.engine().effective_shards();
-      serialized = m.engine().shard_serialized();
-      return cy;
+      return run_workload(*w, m, mc.total_cores());
     });
 
     std::printf("%-12s %-7s %12llu cycles  %8.3f s median  %10.0f cyc/s\n",
@@ -130,49 +95,30 @@ int main(int argc, char** argv) {
     json += '/';
     json += it.config_name;
     json += "\":";
-    json += with_provenance(to_json(r), workers, serialized);
+    json += to_json(r);
   }
 
-  // 16-cluster section: the machine shape the sharded engine targets. The
-  // direct and sharded entries share one result file so the checker can
-  // assert bit-identical cycles and compute the shard speedup without a
-  // second bench invocation. Skipped under --legacy-scheduler (the legacy
-  // scheduler predates sharding and refuses to combine with it).
-  // The oracle-armed pair measures the overlapped --verify path: the oracle
-  // shadows every quantum through deferred per-quantum buffers, so sharding
-  // must still buy wall-clock time with verification on.
-  if (!legacy && shard_threads > 0) {
-    MachineConfig mc16 = MachineConfig::inter_block();
-    mc16.blocks = 16;
-    mc16.cores_per_block = 4;
-    mc16.staleness_monitor = false;
-    mc16.validate();
-    for (const bool verify : {false, true}) {
-      for (const int threads : {0, shard_threads}) {
-        int workers = 0;
-        bool serialized = false;
-        const HostPerfResult r = time_runs(repeats, [&]() -> Cycle {
-          auto w = make_workload("ep");
-          Machine m(mc16, Config::InterAddrL);
-          CoherenceOracle oracle;
-          if (verify) m.set_oracle(&oracle);
-          m.set_shard_threads(threads);
-          const Cycle cy = run_workload(*w, m, mc16.total_cores());
-          workers = m.engine().effective_shards();
-          serialized = m.engine().shard_serialized();
-          return cy;
-        });
-        std::string name = "ep-16c/Addr+L";
-        if (verify) name += "/verify";
-        if (threads != 0)
-          name += (verify ? "-shard" : "/shard") + std::to_string(threads);
-        std::printf("%-26s %12llu cycles  %8.3f s median  %10.0f cyc/s\n",
-                    name.c_str(), static_cast<unsigned long long>(r.cycles),
-                    r.median_seconds, r.cycles_per_second);
-        json += ",\"" + name +
-                "\":" + with_provenance(to_json(r), workers, serialized);
-      }
-    }
+  // 16-cluster section: 64 cores across 16 blocks, plain and with the
+  // coherence oracle shadowing every access.
+  MachineConfig mc16 = MachineConfig::inter_block();
+  mc16.blocks = 16;
+  mc16.cores_per_block = 4;
+  mc16.staleness_monitor = false;
+  mc16.validate();
+  for (const bool verify : {false, true}) {
+    const HostPerfResult r = time_runs(repeats, [&]() -> Cycle {
+      auto w = make_workload("ep");
+      Machine m(mc16, Config::InterAddrL);
+      CoherenceOracle oracle;
+      if (verify) m.set_oracle(&oracle);
+      return run_workload(*w, m, mc16.total_cores());
+    });
+    const std::string name =
+        verify ? "ep-16c/Addr+L/verify" : "ep-16c/Addr+L";
+    std::printf("%-26s %12llu cycles  %8.3f s median  %10.0f cyc/s\n",
+                name.c_str(), static_cast<unsigned long long>(r.cycles),
+                r.median_seconds, r.cycles_per_second);
+    json += ",\"" + name + "\":" + to_json(r);
   }
   json += "}}\n";
 

@@ -106,10 +106,8 @@ struct ChaosKnobs {
 void survivor_barrier(Thread& t, Machine::Flag f, int nthreads, bool publish);
 
 /// Per-request latency accounting. Each simulated thread records into its
-/// own lane (race-free under the sharded engine: a lane is only ever touched
-/// by its owning thread), and publish() folds the lanes into the req_*
-/// counters of SimStats in fixed tid order — so the aggregate is
-/// bit-identical however the host interleaved the run.
+/// own lane, and publish() folds the lanes into the req_* counters of
+/// SimStats in fixed tid order.
 class RequestStats {
  public:
   struct Lane {

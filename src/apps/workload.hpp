@@ -38,11 +38,10 @@ class Workload {
   virtual void setup(Machine& m, int nthreads) = 0;
   /// Per-thread body; thread i runs on core i.
   virtual void body(Thread& t) = 0;
-  /// Post-run hook, called by run_workload after the machine finishes (and
-  /// after the sharded engine merged its stat lanes): workloads that keep
-  /// host-side accounting publish it into m.stats() here. The serving family
-  /// uses this for the req_* latency surface; the Table I kernels don't
-  /// override it.
+  /// Post-run hook, called by run_workload after the machine finishes:
+  /// workloads that keep host-side accounting publish it into m.stats()
+  /// here. The serving family uses this for the req_* latency surface; the
+  /// Table I kernels don't override it.
   virtual void finish(Machine& m) { (void)m; }
   /// Checks results against the serial reference via a VerifyReader.
   [[nodiscard]] virtual WorkloadResult verify(Machine& m) = 0;

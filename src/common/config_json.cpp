@@ -92,6 +92,7 @@ constexpr std::array kFields = {
     HIC_NUM_FIELD("watchdog_max_cycles", watchdog_max_cycles, Cycle),
     HIC_BOOL_FIELD("functional_data", functional_data),
     HIC_BOOL_FIELD("staleness_monitor", staleness_monitor),
+    // Always false (validate() rejects true); kept until a config schema bump.
     HIC_BOOL_FIELD("legacy_scheduler", legacy_scheduler),
     HIC_COST_FIELD(tags_checked_per_cycle, std::uint32_t),
     HIC_COST_FIELD(op_fixed_cycles, Cycle),

@@ -49,6 +49,9 @@ void MachineConfig::validate() const {
   HIC_CHECK_MSG(ieb_entries > 0,
                 "ieb_entries must be positive (got " << ieb_entries << ")");
   HIC_CHECK_MSG(mesh_hop_cycles > 0, "mesh_hop_cycles must be positive");
+  HIC_CHECK_MSG(!legacy_scheduler,
+                "legacy_scheduler was removed: the direct-handoff fiber "
+                "scheduler is the only engine");
   HIC_CHECK_MSG(link_bits >= 8 && link_bits % 8 == 0,
                 "link_bits (" << link_bits
                               << ") must be a positive multiple of 8");

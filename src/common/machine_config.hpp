@@ -94,9 +94,10 @@ struct MachineConfig {
   /// fault-injection runs keep the detection path live regardless.
   bool staleness_monitor = true;
 
-  /// Use the original one-thread-per-core engine loop instead of the
-  /// direct-handoff fiber scheduler. Both produce bit-identical
-  /// simulations; the fallback exists as a determinism cross-check.
+  /// Frozen at false: the one-thread-per-core scheduler was removed, and
+  /// validate() rejects true. The field stays only because the canonical
+  /// config JSON (and so every campaign/perfbench digest) still carries the
+  /// key; dropping it is a config schema bump.
   bool legacy_scheduler = false;
 
   CacheOpCosts costs{};

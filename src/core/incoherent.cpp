@@ -250,14 +250,6 @@ Cycle IncoherentHierarchy::fetch_to_l1(CoreId core, Addr line) {
   return lat;
 }
 
-int IncoherentHierarchy::shared_bank_of(Addr line) const {
-  if (cfg_.multi_block()) return topo_.l3_bank_of(line);
-  // No L3: the shared level is DRAM, modeled as kDramChannels
-  // line-interleaved channels for the banked gate's accounting.
-  constexpr std::uint64_t kDramChannels = 4;
-  return static_cast<int>((line / cfg_.l1.line_bytes) % kDramChannels);
-}
-
 Cycle IncoherentHierarchy::ensure_l2_line(BlockId block, Addr line,
                                           CacheLine** out) {
   Cache& l2 = l2_of(block);
@@ -266,10 +258,6 @@ Cycle IncoherentHierarchy::ensure_l2_line(BlockId block, Addr line,
     *out = l2l;
     return 0;
   }
-  // The whole miss path below reads and allocates in machine-global levels
-  // (the L3, or DRAM on single-block machines): serialize with any earlier
-  // in-flight quanta first. No-op unless the sharded engine installed a gate.
-  gate_shared_access(shared_bank_of(line));
   ++stats_->ops().l2_misses;
   trace_cache("l2_fill", line);
   const NodeId bank = topo_.l2_bank_node(block, topo_.l2_bank_of(line));
@@ -307,7 +295,6 @@ Cycle IncoherentHierarchy::ensure_l2_line(BlockId block, Addr line,
 
 Cycle IncoherentHierarchy::ensure_l3_line(Addr line, CacheLine** out) {
   HIC_DCHECK(l3_.has_value());
-  gate_shared_access(shared_bank_of(line));
   if (CacheLine* l3l = l3_->touch(line)) {
     ++stats_->ops().l3_hits;
     *out = l3l;
@@ -356,7 +343,6 @@ void IncoherentHierarchy::push_words_to_l3(BlockId block, Addr line,
                                            std::span<const std::byte> data,
                                            std::uint64_t mask) {
   if (mask == 0) return;
-  gate_shared_access(shared_bank_of(line));
   if (!cfg_.multi_block()) {
     push_words_to_dram(line, data, mask);
     return;
@@ -375,7 +361,6 @@ void IncoherentHierarchy::push_words_to_dram(Addr line,
                                              std::span<const std::byte> data,
                                              std::uint64_t mask) {
   if (mask == 0) return;
-  gate_shared_access(shared_bank_of(line));
   if (!data.empty()) {
     for (std::uint32_t w = 0; w * kWordBytes < cfg_.l1.line_bytes; ++w) {
       if ((mask & (1ULL << w)) == 0) continue;

@@ -133,12 +133,6 @@ class IncoherentHierarchy final : public HierarchyBase {
                           std::span<const std::byte> src, std::uint64_t mask,
                           std::uint32_t line_bytes);
 
-  /// Bank key for the banked shared-access gate: the L3 slice serving
-  /// `line` on multi-block machines, or the line-interleaved DRAM channel
-  /// on single-block machines (which have no L3 — their shared level is
-  /// off-chip memory).
-  [[nodiscard]] int shared_bank_of(Addr line) const;
-
   /// Ensures the line is present in the block's L2 (fetching from L3/memory
   /// on miss); returns added latency. Out: the L2 line.
   Cycle ensure_l2_line(BlockId block, Addr line, CacheLine** out);
@@ -203,9 +197,7 @@ class IncoherentHierarchy final : public HierarchyBase {
   std::vector<InvalidatedEntryBuffer> ieb_;  ///< per core
   std::vector<ThreadMap> tmap_;            ///< per block
   std::vector<bool> cs_active_;            ///< per core
-  /// collect_resident_lines buffers (hot path), one per block: a block's
-  /// cores run on one shard worker, so per-block buffers are race-free
-  /// under the sharded engine.
+  /// collect_resident_lines buffers (hot path), one per block.
   std::vector<std::vector<Addr>> scratch_;
 };
 

@@ -115,7 +115,7 @@ Campaign Campaign::parse(const Json& spec) {
   for (const Json& g : spec.at("groups").items()) {
     check_keys(g,
                {"name", "workloads", "configs", "machine", "threads", "seed",
-                "repeat", "inject", "recover", "shard_threads", "serve_set"},
+                "repeat", "inject", "recover", "serve_set"},
                "campaign group");
     const std::string gname = g.at("name").as_string();
     HIC_CHECK_MSG(group_names.insert(gname).second,
@@ -199,16 +199,6 @@ Campaign Campaign::parse(const Json& spec) {
     HIC_CHECK_MSG(repeat >= 1, "group '" << gname << "': repeat must be >= 1");
     HIC_CHECK_MSG(threads_spec >= 0,
                   "group '" << gname << "': threads must be >= 0");
-    // Host-side only (see CampaignPoint::shard_threads): same range as the
-    // hicsim_run flag; 0 = direct scheduler.
-    const int shard_threads =
-        g.find("shard_threads") != nullptr
-            ? static_cast<int>(g.at("shard_threads").as_i64())
-            : 0;
-    HIC_CHECK_MSG(shard_threads >= 0 && shard_threads <= 64,
-                  "group '" << gname
-                            << "': shard_threads must be in [0, 64] (got "
-                            << shard_threads << ")");
 
     // Expand the sweep-axis cross product (first axis outermost), then
     // workloads, then configs — a deterministic order the sweep summary
@@ -277,7 +267,6 @@ Campaign Campaign::parse(const Json& spec) {
           pt.serve_set = serve_set;
           pt.recover = recover;
           pt.resil_spec = resil_spec;
-          pt.shard_threads = shard_threads;
           pt.digest = point_digest(pt);
           c.points.push_back(std::move(pt));
         }

@@ -75,11 +75,6 @@ struct CampaignPoint {
   /// spec order. Folded into the digest only when non-empty, so knob-free
   /// campaigns keep their cached results.
   std::vector<std::pair<std::string, std::int64_t>> serve_set;
-  /// Host-side execution knob: sharded-engine worker threads for this
-  /// group's runs (0 = single-thread direct scheduler). Simulated results
-  /// are bit-identical either way, so it is deliberately NOT part of the
-  /// digest — flipping it never invalidates cached results.
-  int shard_threads = 0;
   std::string digest;  ///< content digest — the cache/journal key
 };
 

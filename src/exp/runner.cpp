@@ -33,7 +33,6 @@ agg::PointStats execute_point(const CampaignPoint& pt) {
     for (const std::string& spec : pt.inject)
       m->add_fault_rule(parse_fault_rule(spec));
     if (pt.recover) m->enable_recovery(parse_resil_options(pt.resil_spec));
-    m->set_shard_threads(pt.shard_threads);
     const Cycle cy = run_workload(*w, *m, pt.threads);
     if (r == 0) {
       first_cycles = cy;

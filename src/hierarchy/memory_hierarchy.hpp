@@ -8,7 +8,6 @@
 // machine would behave if run on a coherent one.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "common/machine_config.hpp"
@@ -130,34 +129,7 @@ class HierarchyBase : public MemoryHierarchy {
   void set_resil(ResilienceManager* r) { resil_ = r; }
   [[nodiscard]] ResilienceManager* resil() const { return resil_; }
 
-  /// Installed by the sharded engine for the duration of a parallel run:
-  /// a wait executed by the acting core right before it touches a
-  /// machine-global structure (the shared L3, DRAM). The engine's banked
-  /// gate blocks until every earlier-dispatched quantum has retired, so
-  /// shared levels are only ever accessed by one shard at a time and in
-  /// global dispatch order — the serialization that keeps sharded runs
-  /// bit-identical to the single-thread scheduler. The `bank` argument is
-  /// the L3 slice (multi-block) or DRAM channel (single-block) the access
-  /// targets; the engine uses it to assign deterministic per-bank sequence
-  /// numbers and per-bank contention accounting (kNoBank for machine-global
-  /// structures such as sync objects, which always take the strict gate).
-  /// Null (the default) costs one pointer test per shared-level access.
-  /// The core is not a parameter because the deepest callers (eviction
-  /// cascades) have no CoreId in scope — the engine resolves the acting
-  /// core from its own per-thread state.
-  using SharedAccessGate = std::function<void(int bank)>;
-  static constexpr int kNoBank = -1;
-  void set_shared_access_gate(SharedAccessGate gate) {
-    shared_gate_ = std::move(gate);
-  }
-
  protected:
-  /// Hierarchies call this before reading or writing L3/DRAM state,
-  /// passing the bank (L3 slice / DRAM channel) the access targets.
-  void gate_shared_access(int bank) const {
-    if (shared_gate_) shared_gate_(bank);
-  }
-
   [[nodiscard]] GlobalMemory& gmem() { return *gmem_; }
   [[nodiscard]] SimStats& stats() { return *stats_; }
   void add_traffic(TrafficKind k, std::uint64_t flits) {
@@ -181,7 +153,6 @@ class HierarchyBase : public MemoryHierarchy {
   GlobalMemory* gmem_;
   SimStats* stats_;
   FaultPlan* fault_plan_ = nullptr;
-  SharedAccessGate shared_gate_;
   Tracer* tracer_ = nullptr;
   CoherenceOracle* oracle_ = nullptr;
   ResilienceManager* resil_ = nullptr;

@@ -23,10 +23,8 @@
 // deterministic: identical runs produce byte-identical exports.
 //
 // Thread-safety: the tracer is single-threaded by design — its vectors are
-// appended in dispatch order with no locking. An attached tracer therefore
-// forces the sharded engine into serialize mode (one quantum at a time;
-// docs/performance.md "Sharded execution"), which keeps exports
-// byte-identical to unsharded runs at the cost of overlap.
+// appended in dispatch order with no locking, matching the engine, which
+// runs every core of a machine on one host thread.
 #pragma once
 
 #include <cstdint>

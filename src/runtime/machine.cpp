@@ -30,7 +30,6 @@ Machine::Machine(const MachineConfig& mc, Config cfg)
                           << " does not match the machine's block count");
   hier_->set_fault_plan(&fault_plan_);
   engine_.set_max_cycles(mc.watchdog_max_cycles);
-  engine_.set_legacy_scheduler(mc.legacy_scheduler);
 }
 
 IncoherentHierarchy* Machine::incoherent() {

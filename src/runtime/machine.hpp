@@ -55,13 +55,6 @@ class Machine {
   [[nodiscard]] SyncController& sync() { return sync_; }
   [[nodiscard]] Engine& engine() { return engine_; }
 
-  /// Host-side execution knob: number of worker threads for the sharded
-  /// engine (0 = single-thread direct handoff). Purely a wall-clock choice —
-  /// simulated results are bit-identical either way — so unlike
-  /// `legacy_scheduler` it is NOT a MachineConfig field and never reaches
-  /// the campaign result digest.
-  void set_shard_threads(int n) { engine_.set_shard_threads(n); }
-
   /// The fault-injection plan this machine runs under. Add rules before
   /// run(); afterwards the plan holds the per-fault detection records and
   /// run() has already reconciled them into stats().

@@ -152,14 +152,6 @@ std::string summarize(const SimStats& stats) {
   os << "schema_version: " << kStatsSchemaVersion << '\n';
   os << "exec_cycles: " << stats.exec_cycles() << '\n';
   os << "num_cores: " << cores << '\n';
-  const ShardExec& se = stats.shard_exec();
-  if (se.requested > 0) {
-    os << "sharding: " << se.workers << " worker"
-       << (se.workers == 1 ? "" : "s") << " (" << se.requested
-       << " requested), "
-       << (se.serialized ? "serialized by an observer" : "overlapped")
-       << '\n';
-  }
   const char* group = "";
   for (const ReportField& f : kFields) {
     if (std::string_view(group) != f.group) {
@@ -224,14 +216,13 @@ std::string summarize(const SimStats& stats) {
 }
 
 std::string to_json(const SimStats& stats) {
-  const ShardExec& se = stats.shard_exec();
   std::ostringstream os;
   os << "{\"schema_version\":" << kStatsSchemaVersion;
   os << ",\"exec_cycles\":" << stats.exec_cycles();
   os << ",\"num_cores\":" << stats.num_cores();
-  os << ",\"shard\":{\"requested\":" << se.requested
-     << ",\"workers\":" << se.workers << ",\"serialized\":"
-     << (se.serialized ? "true" : "false") << '}';
+  // A fixed literal since the sharded engine was removed; dropping it is a
+  // schema bump that must re-record perfbench/digests.json.
+  os << ",\"shard\":{\"requested\":0,\"workers\":0,\"serialized\":false}";
   const char* group = "";
   bool first_in_group = true;
   for (const ReportField& f : kFields) {

@@ -23,11 +23,9 @@ namespace hic {
 ///   v3: added the resil_* recovery counters (corrected / retried /
 ///       quarantined / unrecoverable dispositions plus retransmit, scrubber,
 ///       quarantine and degradation event counts) to the "ops" group.
-///   v4: added the top-level "shard" execution-provenance object (requested
-///       worker threads, effective worker count, and whether an observer
-///       forced the sharded engine to serialize). Host-side only: simulated
-///       counters are bit-identical across scheduler modes, so equivalence
-///       checks compare the JSON with this one object stripped.
+///   v4: added the top-level "shard" execution-provenance object. The
+///       sharded engine is gone; the object stays as a fixed all-zero
+///       literal until a schema bump re-records perfbench/digests.json.
 ///   v5: added the request-serving surface (req_issued / req_completed /
 ///       req_remote, nearest-rank latency percentiles req_lat_p50/p95/p99/
 ///       max in cycles, and req_qdepth_peak) to the "ops" group — published
@@ -38,6 +36,7 @@ namespace hic {
 ///       degraded / failed / lost_dirty_lines / lost_puts / reacquired) to
 ///       the "ops" group — published under core-fail / cluster-fail
 ///       injection, zero elsewhere.
+// Stays 6 while "shard" is a fixed literal: dropping it is a v7 bump.
 inline constexpr int kStatsSchemaVersion = 6;
 
 /// One scalar counter of the report: its JSON group ("stalls",

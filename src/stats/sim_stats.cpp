@@ -105,14 +105,6 @@ const char* to_string(TrafficKind k) {
   return "?";
 }
 
-void SimStats::merge_lane(const StatsLane& lane) {
-  for (const OpField& f : op_fields()) ops_.*f.member += lane.ops.*f.member;
-  for (std::size_t k = 0; k < kTrafficKinds; ++k) {
-    const auto kind = static_cast<TrafficKind>(k);
-    traffic_.add(kind, lane.traffic.get(kind));
-  }
-}
-
 Cycle SimStats::exec_cycles() const {
   Cycle max_cycles = 0;
   for (const auto& s : stalls_) max_cycles = std::max(max_cycles, s.total());
@@ -129,7 +121,6 @@ void SimStats::clear() {
   for (auto& s : stalls_) s.clear();
   traffic_.clear();
   ops_ = OpCounts{};
-  shard_exec_ = ShardExec{};
 }
 
 }  // namespace hic

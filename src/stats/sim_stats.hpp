@@ -192,34 +192,6 @@ struct OpField {
 };
 [[nodiscard]] std::span<const OpField> op_fields();
 
-/// A private counter sink for one host thread of the sharded engine. Global
-/// counters (OpCounts, TrafficAccount) are pure commutative sums, so each
-/// shard accumulates into its own lane race-free and the engine folds the
-/// lanes into the main account in fixed shard order at the end of the run —
-/// the totals come out identical to a single-thread run. Per-core stall
-/// accounts need no lane: a core is only ever touched by its owning shard.
-struct StatsLane {
-  OpCounts ops;
-  TrafficAccount traffic;
-};
-
-namespace detail {
-/// The calling thread's counter sink (see SimStats::set_thread_lane).
-/// Inline thread_local so the hot ops()/traffic() route stays one TLS load.
-inline thread_local StatsLane* t_stats_lane = nullptr;
-}  // namespace detail
-
-/// How the run was executed host-side (schema v4). Purely provenance: the
-/// sharded engine is bit-identical to the direct scheduler, so these fields
-/// never affect simulated results — they exist so campaigns and benches can
-/// assert that a `--shard-threads` run actually overlapped instead of
-/// silently serializing behind an observer.
-struct ShardExec {
-  int requested = 0;        ///< --shard-threads (0 = direct single-thread)
-  int workers = 0;          ///< effective worker count after clamping
-  bool serialized = false;  ///< an observer forced one-quantum-at-a-time
-};
-
 /// Everything a run produces.
 class SimStats {
  public:
@@ -237,39 +209,11 @@ class SimStats {
     return stalls_[static_cast<std::size_t>(c)];
   }
 
-  /// Mutators route through the calling thread's lane when one is installed
-  /// (sharded engine workers); everything else lands in the main account.
-  /// Readers always see the main account — merged totals after a sharded
-  /// run, live values otherwise.
-  TrafficAccount& traffic() {
-    StatsLane* l = thread_lane();
-    return l != nullptr ? l->traffic : traffic_;
-  }
+  TrafficAccount& traffic() { return traffic_; }
   [[nodiscard]] const TrafficAccount& traffic() const { return traffic_; }
 
-  OpCounts& ops() {
-    StatsLane* l = thread_lane();
-    return l != nullptr ? l->ops : ops_;
-  }
+  OpCounts& ops() { return ops_; }
   [[nodiscard]] const OpCounts& ops() const { return ops_; }
-
-  /// Installs `lane` as the calling thread's counter sink (nullptr restores
-  /// the default main-account routing). Thread-local: each sharded-engine
-  /// worker installs its own lane for the duration of the run.
-  static void set_thread_lane(StatsLane* lane) {
-    detail::t_stats_lane = lane;
-  }
-  [[nodiscard]] static StatsLane* thread_lane() {
-    return detail::t_stats_lane;
-  }
-
-  /// Folds a lane's counters into the main account (field-wise sums over
-  /// op_fields() and every traffic kind).
-  void merge_lane(const StatsLane& lane);
-
-  /// Host-side execution provenance, stamped by the engine at end of run.
-  void set_shard_exec(const ShardExec& e) { shard_exec_ = e; }
-  [[nodiscard]] const ShardExec& shard_exec() const { return shard_exec_; }
 
   /// Cycles of the longest-running core — the run's execution time.
   [[nodiscard]] Cycle exec_cycles() const;
@@ -283,7 +227,6 @@ class SimStats {
   std::vector<StallAccount> stalls_;
   TrafficAccount traffic_;
   OpCounts ops_;
-  ShardExec shard_exec_;
 };
 
 }  // namespace hic

@@ -9,8 +9,6 @@
 
 namespace hic {
 
-thread_local CoherenceOracle::QuantumBuf* CoherenceOracle::t_buf_ = nullptr;
-
 const char* to_string(OracleViolation::Kind k) {
   switch (k) {
     case OracleViolation::Kind::StaleRead: return "stale-read";
@@ -195,60 +193,44 @@ void CoherenceOracle::merge_up(StampMap& dst, const StampMap& src, Addr line,
 }
 
 void CoherenceOracle::on_fill_l1(CoreId c, Addr line) {
-  if (buffered(DeferredEvent::K::FillL1, c, line, 0)) return;
   copy_line(l1_[idx(c)], l2_[idx(block_of(c))], line);
 }
 
 void CoherenceOracle::on_fill_l2(BlockId b, Addr line) {
-  if (buffered(DeferredEvent::K::FillL2, b, line, 0)) return;
   copy_line(l2_[idx(b)], below_l2(), line);
 }
 
 void CoherenceOracle::on_fill_l3(Addr line) {
-  if (buffered(DeferredEvent::K::FillL3, 0, line, 0)) return;
   copy_line(l3_, mem_, line);
 }
 
 void CoherenceOracle::on_wb_l1_to_l2(CoreId c, Addr line, std::uint64_t mask) {
-  if (buffered(DeferredEvent::K::WbL1L2, c, line, mask)) return;
   merge_up(l2_[idx(block_of(c))], l1_[idx(c)], line, mask, "block L2");
 }
 
 void CoherenceOracle::on_wb_l2_to_l3(BlockId b, Addr line,
                                      std::uint64_t mask) {
-  if (buffered(DeferredEvent::K::WbL2L3, b, line, mask)) return;
   merge_up(below_l2(), l2_[idx(b)], line, mask,
            multi_block_ ? "L3" : "memory");
 }
 
 void CoherenceOracle::on_wb_l3_to_mem(Addr line, std::uint64_t mask) {
-  if (buffered(DeferredEvent::K::WbL3Mem, 0, line, mask)) return;
   merge_up(mem_, l3_, line, mask, "memory");
 }
 
 void CoherenceOracle::on_inv_l1(CoreId c, Addr line) {
-  if (buffered(DeferredEvent::K::InvL1, c, line, 0)) return;
   l1_[idx(c)].erase(line);
 }
 
 void CoherenceOracle::on_inv_l2(BlockId b, Addr line) {
-  if (buffered(DeferredEvent::K::InvL2, b, line, 0)) return;
   l2_[idx(b)].erase(line);
 }
 
 // --- Access checks -------------------------------------------------------------
 
 void CoherenceOracle::on_store(CoreId c, Addr a, std::uint32_t bytes) {
-  // The racy declaration is consumed HERE, at issue, even when the event is
-  // deferred: the flag pairs with this specific access in program order.
   const bool racy = racy_next_[idx(c)] != 0;
   racy_next_[idx(c)] = 0;
-  if (buffered(DeferredEvent::K::Store, c, a, bytes, racy)) return;
-  do_store(c, a, bytes, racy);
-}
-
-void CoherenceOracle::do_store(CoreId c, Addr a, std::uint32_t bytes,
-                               bool racy) {
   const Addr line = line_of(a);
   StampLine& gl = stamps(global_, line);
   StampLine& own = stamps(l1_[idx(c)], line);
@@ -327,14 +309,9 @@ void CoherenceOracle::check_load_word(CoreId c, Addr line, int w,
 
 void CoherenceOracle::on_load(CoreId c, Addr a, std::uint32_t bytes) {
   if (racy_next_[idx(c)] != 0) {  // declared racy: unordered by construction
-    racy_next_[idx(c)] = 0;      // no checks, nothing to defer
+    racy_next_[idx(c)] = 0;      // no checks
     return;
   }
-  if (buffered(DeferredEvent::K::Load, c, a, bytes)) return;
-  do_load(c, a, bytes);
-}
-
-void CoherenceOracle::do_load(CoreId c, Addr a, std::uint32_t bytes) {
   const Addr line = line_of(a);
   const std::uint32_t first = static_cast<std::uint32_t>(a - line) / kWordBytes;
   const std::uint32_t last =
@@ -366,139 +343,6 @@ void CoherenceOracle::on_dma(CoreId initiator, BlockId src_block, Addr src,
     gl[dw] = s;
     stamps(l2_[idx(dst_block)], dline)[dw] = s;
   }
-}
-
-// --- Overlapped verification ---------------------------------------------------
-
-void CoherenceOracle::apply(const DeferredEvent& e) {
-  using K = DeferredEvent::K;
-  switch (e.kind) {
-    case K::Store:
-      do_store(e.who, e.addr, static_cast<std::uint32_t>(e.arg), e.racy);
-      break;
-    case K::Load:
-      do_load(e.who, e.addr, static_cast<std::uint32_t>(e.arg));
-      break;
-    case K::FillL1:
-      copy_line(l1_[idx(e.who)], l2_[idx(block_of(e.who))], e.addr);
-      break;
-    case K::FillL2: copy_line(l2_[idx(e.who)], below_l2(), e.addr); break;
-    case K::FillL3: copy_line(l3_, mem_, e.addr); break;
-    case K::WbL1L2:
-      merge_up(l2_[idx(block_of(e.who))], l1_[idx(e.who)], e.addr, e.arg,
-               "block L2");
-      break;
-    case K::WbL2L3:
-      merge_up(below_l2(), l2_[idx(e.who)], e.addr, e.arg,
-               multi_block_ ? "L3" : "memory");
-      break;
-    case K::WbL3Mem: merge_up(mem_, l3_, e.addr, e.arg, "memory"); break;
-    case K::InvL1: l1_[idx(e.who)].erase(e.addr); break;
-    case K::InvL2: l2_[idx(e.who)].erase(e.addr); break;
-  }
-}
-
-void CoherenceOracle::apply_ready_locked() {
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first == apply_next_;
-       it = pending_.begin()) {
-    std::unique_ptr<QuantumBuf> b = std::move(it->second);
-    pending_.erase(it);
-    for (const DeferredEvent& e : b->events) apply(e);
-    ++apply_next_;
-    b->events.clear();
-    free_bufs_.push_back(std::move(b));
-  }
-}
-
-void CoherenceOracle::begin_overlap(std::uint64_t first_seq) {
-  std::lock_guard<std::mutex> g(overlap_mu_);
-  HIC_CHECK(!overlap_ && pending_.empty() && open_.empty());
-  overlap_ = true;
-  apply_next_ = first_seq;
-}
-
-void CoherenceOracle::quantum_begin(std::uint64_t seq) {
-  if (!overlap_) return;
-  HIC_CHECK(t_buf_ == nullptr);
-  std::unique_ptr<QuantumBuf> b;
-  {
-    std::lock_guard<std::mutex> g(overlap_mu_);
-    if (!free_bufs_.empty()) {
-      b = std::move(free_bufs_.back());
-      free_bufs_.pop_back();
-    }
-  }
-  if (b == nullptr) b = std::make_unique<QuantumBuf>();
-  b->seq = seq;
-  b->events.clear();
-  {
-    std::lock_guard<std::mutex> g(overlap_mu_);
-    open_.push_back(b.get());
-  }
-  t_buf_ = b.release();
-}
-
-void CoherenceOracle::quantum_end() {
-  if (!overlap_ || t_buf_ == nullptr) return;
-  std::unique_ptr<QuantumBuf> b(t_buf_);
-  t_buf_ = nullptr;
-  std::lock_guard<std::mutex> g(overlap_mu_);
-  std::erase(open_, b.get());
-  const std::uint64_t s = b->seq;
-  pending_.emplace(s, std::move(b));
-  // Drain whatever became contiguous. The enqueue (release) / drain
-  // (acquire) pair on overlap_mu_ is also the happens-before edge that lets
-  // one worker apply events another worker buffered without a lock.
-  apply_ready_locked();
-}
-
-void CoherenceOracle::sync_flush(std::uint64_t seq) {
-  if (!overlap_) return;
-  std::lock_guard<std::mutex> g(overlap_mu_);
-  // The caller holds the engine's strict order gate, so every quantum armed
-  // before `seq` has retired and enqueued its buffer: the prefix is
-  // contiguous by construction, and a hole is a scheduler bug.
-  while (apply_next_ < seq) {
-    const auto it = pending_.find(apply_next_);
-    HIC_CHECK_MSG(it != pending_.end(),
-                  "oracle sync_flush: quantum " << apply_next_
-                  << " missing below sync point " << seq);
-    std::unique_ptr<QuantumBuf> b = std::move(it->second);
-    pending_.erase(it);
-    for (const DeferredEvent& e : b->events) apply(e);
-    ++apply_next_;
-    b->events.clear();
-    free_bufs_.push_back(std::move(b));
-  }
-  // Then the caller's own partial buffer: the inline sync hook about to run
-  // must observe these events as already applied, exactly as in a serial
-  // run. The buffer stays open; later events keep accumulating and land at
-  // quantum_end, when apply_next_ == seq admits them.
-  if (QuantumBuf* b = t_buf_; b != nullptr) {
-    HIC_CHECK(b->seq == seq && apply_next_ == seq);
-    for (const DeferredEvent& e : b->events) apply(e);
-    b->events.clear();
-  }
-}
-
-void CoherenceOracle::end_overlap(bool aborted) {
-  std::lock_guard<std::mutex> g(overlap_mu_);
-  if (!overlap_) return;
-  overlap_ = false;
-  if (aborted) {
-    // Workers are already joined: buffers still registered as open never
-    // reached quantum_end (exception unwind); reclaim them, and drop any
-    // pending tail that will never become contiguous.
-    for (QuantumBuf* b : open_) delete b;
-    open_.clear();
-    pending_.clear();
-  } else {
-    HIC_CHECK_MSG(open_.empty() && pending_.empty(),
-                  "oracle end_overlap: " << open_.size() << " open / "
-                  << pending_.size() << " pending buffers left behind");
-  }
-  free_bufs_.clear();
 }
 
 // --- Results -------------------------------------------------------------------

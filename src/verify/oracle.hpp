@@ -37,9 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -121,43 +118,6 @@ class CoherenceOracle {
   void on_dma(CoreId initiator, BlockId src_block, Addr src,
               BlockId dst_block, Addr dst, std::uint64_t bytes);
 
-  // --- Overlapped verification (sharded engine) ----------------------------
-  // Deferred-apply protocol: under the sharded engine, memory hooks from a
-  // quantum armed with sequence number s are BUFFERED into a per-quantum
-  // event list instead of mutating the shadow state; the authoritative state
-  // advances by applying complete buffers strictly in s order. Because the
-  // single-thread scheduler invokes the same hooks in exactly that order,
-  // the applied event stream — and therefore every verdict, seq stamp,
-  // violation, and the JSON log — is bit-identical to a serialized run.
-  // Sync-edge hooks (on_lock_* / on_barrier_* / on_flag_* / on_dma) stay
-  // inline: the engine only invokes them from the oldest active quantum,
-  // after sync_flush() has applied every earlier buffer plus the caller's
-  // own partial one, so they always observe up-to-date shadow state.
-  //
-  // Thread-safety contract: quantum_begin/quantum_end run on the worker
-  // executing the quantum; buffers are thread-local while open; pending and
-  // apply state are guarded by overlap_mu_. The oracle never takes engine
-  // locks (lock order: engine shard lock -> overlap_mu_, never reversed).
-
-  /// Enters overlapped mode. `first_seq` is the seq of the first quantum the
-  /// engine will arm (the apply cursor starts there).
-  void begin_overlap(std::uint64_t first_seq);
-  /// Opens the calling worker's buffer for the quantum armed with `seq`.
-  void quantum_begin(std::uint64_t seq);
-  /// Closes the calling worker's buffer, enqueues it (possibly empty —
-  /// contiguity is what lets the apply cursor advance), and applies any
-  /// ready prefix of pending buffers.
-  void quantum_end();
-  /// Called by the oldest active quantum (holding the engine's strict order
-  /// gate) before an inline sync hook: applies every pending buffer with
-  /// seq < `seq`, then the caller's own partial buffer, leaving the shadow
-  /// state exactly as a serialized run would have it at this point.
-  void sync_flush(std::uint64_t seq);
-  /// Leaves overlapped mode. On a clean run every buffer has been applied;
-  /// `aborted` (watchdog/exception unwind) skips the completeness check and
-  /// reclaims buffers that were still open on other workers.
-  void end_overlap(bool aborted);
-
   // --- Results -------------------------------------------------------------
   [[nodiscard]] const std::vector<OracleViolation>& violations() const {
     return violations_;
@@ -213,51 +173,6 @@ class CoherenceOracle {
     return cores_per_block_ > 0 ? c / cores_per_block_ : 0;
   }
 
-  // --- Overlapped-mode internals -------------------------------------------
-  /// One buffered memory hook. POD; `racy` is the Figure-6b declaration,
-  /// consumed from racy_next_ when the event is ISSUED (not when applied):
-  /// with several racy marks in flight in one quantum, apply-time
-  /// consumption would pair marks with the wrong accesses.
-  struct DeferredEvent {
-    enum class K : std::uint8_t {
-      Store, Load, FillL1, FillL2, FillL3,
-      WbL1L2, WbL2L3, WbL3Mem, InvL1, InvL2
-    };
-    K kind;
-    bool racy;
-    std::int32_t who;    ///< CoreId (L1-side events) or BlockId (L2-side)
-    Addr addr;           ///< access address (Store/Load) or line address
-    std::uint64_t arg;   ///< bytes (Store/Load) or dirty-word mask (Wb*)
-  };
-  /// A quantum's complete buffered hook stream, keyed by its dispatch seq.
-  struct QuantumBuf {
-    std::uint64_t seq = 0;
-    std::vector<DeferredEvent> events;
-  };
-
-  /// Pushes onto the calling worker's open buffer; false in serialized /
-  /// direct mode (caller then applies inline).
-  bool buffered(DeferredEvent::K kind, std::int32_t who, Addr addr,
-                std::uint64_t arg, bool racy = false) {
-    if (!overlap_ || t_buf_ == nullptr) return false;
-    t_buf_->events.push_back({kind, racy, who, addr, arg});
-    return true;
-  }
-  /// Mutation bodies shared by the inline path and apply().
-  void do_store(CoreId c, Addr a, std::uint32_t bytes, bool racy);
-  void do_load(CoreId c, Addr a, std::uint32_t bytes);
-  void apply(const DeferredEvent& e);
-  /// Applies the contiguous ready prefix of pending_ (overlap_mu_ held).
-  void apply_ready_locked();
-
-  bool overlap_ = false;
-  std::mutex overlap_mu_;  ///< guards pending_/free_bufs_/open_/apply_next_
-  std::map<std::uint64_t, std::unique_ptr<QuantumBuf>> pending_;
-  std::vector<std::unique_ptr<QuantumBuf>> free_bufs_;  ///< recycled buffers
-  std::vector<QuantumBuf*> open_;  ///< live worker buffers (abort reclaim)
-  std::uint64_t apply_next_ = 0;   ///< seq the apply cursor waits for
-  static thread_local QuantumBuf* t_buf_;  ///< calling worker's open buffer
-
   // Configuration.
   std::uint32_t line_bytes_ = 64;
   int cores_ = 0;
@@ -273,10 +188,7 @@ class CoherenceOracle {
   std::vector<std::vector<std::uint64_t>> vc_;  ///< vc_[core][core']
   std::unordered_map<SyncId, std::vector<std::uint64_t>> sync_clock_;
   std::uint64_t seq_ = 0;  ///< global write counter (0 = initial values)
-  /// Per-core "next access is declared racy" flags. uint8_t, not bool:
-  /// vector<bool> packs bits, and under the sharded engine different cores'
-  /// flags are touched concurrently from different workers (each core's own
-  /// flag only ever from its worker), so elements must not share bytes.
+  /// Per-core "next access is declared racy" flags.
   std::vector<std::uint8_t> racy_next_;
   std::vector<std::uint32_t> last_acquire_;  ///< per-core edge index
   std::vector<std::uint32_t> last_release_;

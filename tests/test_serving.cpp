@@ -1,9 +1,7 @@
 // Serving subsystem suite: load-generator determinism and substream
 // stability, RequestStats percentile semantics, workload knobs, and the
-// three serving workloads' end-to-end guarantees — twice-run bit-identity,
-// sharded-vs-direct bit-identity, and oracle cleanliness. The sharded
-// fixture's name contains "Sharded" on purpose: the TSan CI job filters
-// with -R "Sharded|OracleOverlap" and must cover the serving family too.
+// three serving workloads' end-to-end guarantees — twice-run bit-identity
+// and oracle cleanliness.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -139,24 +137,13 @@ TEST(ServeRequestStats, SingleSampleAndEmptyEdges) {
 
 struct ServeRun {
   Cycle cycles = 0;
-  std::string stats_json;  ///< shard provenance stripped (host-side only)
+  std::string stats_json;
   bool verified = false;
   std::uint64_t oracle_violations = 0;
   OpCounts ops;
 };
 
-// Same rationale as test_sharded.cpp: the "shard" stats object is host-side
-// execution provenance and legitimately differs between schedulers.
-std::string strip_shard(std::string j) {
-  const auto b = j.find(",\"shard\":{");
-  if (b == std::string::npos) return j;
-  const auto e = j.find('}', b);
-  EXPECT_NE(e, std::string::npos);
-  j.erase(b, e - b + 1);
-  return j;
-}
-
-ServeRun run_serving(const std::string& app, Config cfg, int shard_threads,
+ServeRun run_serving(const std::string& app, Config cfg,
                      std::int64_t requests_knob = 0) {
   auto w = make_workload(app);
   MachineConfig mc = MachineConfig::intra_block();
@@ -164,13 +151,12 @@ ServeRun run_serving(const std::string& app, Config cfg, int shard_threads,
   Machine m(mc, cfg);
   CoherenceOracle oracle;
   m.set_oracle(&oracle);
-  m.set_shard_threads(shard_threads);
   if (requests_knob > 0) {
     EXPECT_TRUE(w->set_knob("requests", requests_knob)) << app;
   }
   ServeRun r;
   r.cycles = run_workload(*w, m, mc.total_cores());
-  r.stats_json = strip_shard(to_json(m.stats()));
+  r.stats_json = to_json(m.stats());
   r.verified = w->verify(m).ok;
   r.oracle_violations = oracle.total_violations();
   r.ops = m.stats().ops();
@@ -183,15 +169,15 @@ class ServingWorkloadTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ServingWorkloadTest, TwiceRunIsBitIdentical) {
   for (const Config cfg : {Config::Hcc, Config::BaseMebIeb}) {
-    const ServeRun a = run_serving(GetParam(), cfg, 0);
-    const ServeRun b = run_serving(GetParam(), cfg, 0);
+    const ServeRun a = run_serving(GetParam(), cfg);
+    const ServeRun b = run_serving(GetParam(), cfg);
     EXPECT_EQ(a.cycles, b.cycles) << GetParam();
     EXPECT_EQ(a.stats_json, b.stats_json) << GetParam();
   }
 }
 
 TEST_P(ServingWorkloadTest, PublishesRequestCounters) {
-  const ServeRun r = run_serving(GetParam(), Config::BaseMebIeb, 0);
+  const ServeRun r = run_serving(GetParam(), Config::BaseMebIeb);
   EXPECT_GT(r.ops.req_issued, 0u) << GetParam();
   EXPECT_EQ(r.ops.req_completed, r.ops.req_issued) << GetParam();
   EXPECT_GT(r.ops.req_remote, 0u) << GetParam();
@@ -203,8 +189,8 @@ TEST_P(ServingWorkloadTest, PublishesRequestCounters) {
 }
 
 TEST_P(ServingWorkloadTest, RequestsKnobScalesTheRun) {
-  const ServeRun small = run_serving(GetParam(), Config::BaseMebIeb, 0, 8);
-  const ServeRun full = run_serving(GetParam(), Config::BaseMebIeb, 0);
+  const ServeRun small = run_serving(GetParam(), Config::BaseMebIeb, 8);
+  const ServeRun full = run_serving(GetParam(), Config::BaseMebIeb);
   EXPECT_LT(small.ops.req_completed, full.ops.req_completed) << GetParam();
   EXPECT_LT(small.cycles, full.cycles) << GetParam();
 }
@@ -218,26 +204,6 @@ INSTANTIATE_TEST_SUITE_P(ServingFamily, ServingWorkloadTest,
                            return n;
                          });
 
-class ServingShardedTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ServingShardedTest, ShardedRunsAreBitIdenticalToDirect) {
-  const ServeRun direct = run_serving(GetParam(), Config::BaseMebIeb, 0);
-  const ServeRun one = run_serving(GetParam(), Config::BaseMebIeb, 1);
-  const ServeRun four = run_serving(GetParam(), Config::BaseMebIeb, 4);
-  EXPECT_EQ(direct.cycles, one.cycles) << GetParam();
-  EXPECT_EQ(direct.stats_json, one.stats_json) << GetParam();
-  EXPECT_EQ(direct.cycles, four.cycles) << GetParam();
-  EXPECT_EQ(direct.stats_json, four.stats_json) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(ServingFamily, ServingShardedTest,
-                         ::testing::ValuesIn(serving_workload_names()),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& c : n)
-                             if (c == '-') c = '_';
-                           return n;
-                         });
 
 TEST(ServingKnobs, UnknownKeysAreRejected) {
   for (const std::string& app : serving_workload_names()) {

@@ -10,24 +10,9 @@ files (before/after) as a speedup table:
   tools/bench_host.py --report after.json
   tools/bench_host.py --compare before.json after.json
   tools/bench_host.py --compare before.json after.json --check --min-speedup 1.5
-  tools/bench_host.py --check-sharded after.json
 
 --check exits nonzero unless at least one workload meets --min-speedup AND
 no workload's simulated cycle count moved (the bit-identity canary).
-
---check-sharded validates one result file's sharded-engine entries
-("name/shardN" next to their direct "name" twin, and oracle-armed
-"name/verify-shardN" next to "name/verify"): the simulated cycle counts
-must be bit-identical, no sharded entry may have silently serialized
-(per-entry "shard_serialize" provenance written by bench_host_perf),
-every entry must clear a conservative cycles-per-second floor
-(--min-cps-direct / --min-cps-sharded), and — only when the recorded host
-actually had >= --speedup-cpus CPUs *and* as many shard workers — each
-sharded entry (oracle-armed ones included) must beat its direct twin by
---min-shard-speedup. On smaller hosts the speedup gate prints SKIPPED:
-shard workers time-share one core there, so wall-clock parallel gain is
-physically impossible and only the determinism + provenance + floor
-checks are meaningful.
 
 Stdlib only; no third-party packages.
 """
@@ -36,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import subprocess
 import sys
 
@@ -73,8 +57,7 @@ def load(path: str) -> dict:
 
 def report(path: str) -> None:
     data = load(path)
-    print(f"{path}  (scheduler={data.get('scheduler', '?')}, "
-          f"repeats={data.get('repeats', '?')})")
+    print(f"{path}  (repeats={data.get('repeats', '?')})")
     hdr = f"{'workload':<22} {'sim cycles':>14} {'median s':>10} " \
           f"{'min s':>10} {'cyc/s':>14}"
     print(hdr)
@@ -129,87 +112,6 @@ def compare(before_path: str, after_path: str, check: bool,
     return rc
 
 
-# A sharded entry name ends in "/shardN" (plain) or "/verify-shardN"
-# (oracle-armed); its direct twin is the name with the shard suffix dropped.
-_SHARD_SUFFIX = re.compile(r"[/-]shard\d+$")
-
-
-def shard_base(name: str):
-    """Direct-twin name for a sharded entry, or None if not sharded."""
-    m = _SHARD_SUFFIX.search(name)
-    return name[:m.start()] if m else None
-
-
-def check_sharded(path: str, min_cps_direct: float, min_cps_sharded: float,
-                  min_shard_speedup: float, speedup_cpus: int) -> int:
-    data = load(path)
-    workloads = data["workloads"]
-    sharded = {n: w for n, w in workloads.items()
-               if shard_base(n) is not None}
-    if not sharded:
-        sys.exit(f"{path}: no sharded entries — rerun bench_host_perf "
-                 "without --legacy-scheduler and with --shard-threads > 0")
-
-    rc = 0
-    host_cpus = data.get("host_cpus", 0)
-    shard_threads = data.get("shard_threads", 0)
-    gate_speedup = host_cpus >= speedup_cpus and shard_threads >= speedup_cpus
-    for name, w in sorted(sharded.items()):
-        base_name = shard_base(name)
-        base = workloads.get(base_name)
-        if base is None:
-            print(f"FAIL: {name} has no direct twin '{base_name}'",
-                  file=sys.stderr)
-            rc = 1
-            continue
-        if w["cycles"] != base["cycles"]:
-            print(f"FAIL: {name} cycles {w['cycles']} != direct "
-                  f"{base['cycles']} — sharded run is not bit-identical",
-                  file=sys.stderr)
-            rc = 1
-        # Execution provenance (schema v4): a sharded benchmark entry that
-        # silently fell back to serialize mode would make any speedup claim
-        # (or SKIPPED verdict) meaningless — fail loudly instead.
-        if w.get("shard_serialize", False):
-            print(f"FAIL: {name} serialized at run time "
-                  f"(shard_workers={w.get('shard_workers', '?')}) — an "
-                  "observer forced the one-quantum fallback", file=sys.stderr)
-            rc = 1
-        speedup = w["cycles_per_second"] / base["cycles_per_second"] \
-            if base["cycles_per_second"] > 0 else 0.0
-        workers = w.get("shard_workers")
-        extra = f"  [{workers} workers]" if workers is not None else ""
-        print(f"{name:<26} {w['cycles_per_second']:>14,.0f} cyc/s  "
-              f"{speedup:>5.2f}x vs direct{extra}")
-        if gate_speedup and speedup < min_shard_speedup:
-            print(f"FAIL: {name} speedup {speedup:.2f}x < required "
-                  f"{min_shard_speedup}x on a {host_cpus}-CPU host",
-                  file=sys.stderr)
-            rc = 1
-
-    # Conservative absolute floors: catastrophic regressions (10-100x) in
-    # either scheduler fail even on slow CI hosts; ordinary host noise does
-    # not. Relative regressions are --compare's job. Oracle-armed entries
-    # share the lower floor: stamp tracking costs real host time.
-    for name, w in sorted(workloads.items()):
-        slow = shard_base(name) is not None or "/verify" in name
-        floor = min_cps_sharded if slow else min_cps_direct
-        if w["cycles_per_second"] < floor:
-            print(f"FAIL: {name} {w['cycles_per_second']:,.0f} cyc/s below "
-                  f"the {floor:,.0f} floor", file=sys.stderr)
-            rc = 1
-
-    if not gate_speedup:
-        print(f"SKIPPED: speedup gate (host_cpus={host_cpus}, "
-              f"shard_threads={shard_threads}, need >= {speedup_cpus} of "
-              "both); checked determinism + provenance + floors only")
-    if rc == 0:
-        print("OK: sharded entries bit-identical, overlapped (no serialize "
-              "fallback) and above the cyc/s floors"
-              + (f", >= {min_shard_speedup}x speedup" if gate_speedup else ""))
-    return rc
-
-
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--run", metavar="BINARY",
@@ -218,8 +120,6 @@ def main() -> int:
                    help="output file for --run (default %(default)s)")
     p.add_argument("--repeats", type=int, default=None,
                    help="repeats per workload for --run")
-    p.add_argument("--legacy-scheduler", action="store_true",
-                   help="pass --legacy-scheduler to the binary for --run")
     p.add_argument("--report", metavar="JSON",
                    help="pretty-print one result file")
     p.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
@@ -230,32 +130,15 @@ def main() -> int:
     p.add_argument("--min-speedup", type=float, default=1.5,
                    help="required best-case speedup for --check "
                         "(default %(default)s)")
-    p.add_argument("--check-sharded", metavar="JSON",
-                   help="validate the sharded entries of one result file")
-    p.add_argument("--min-cps-direct", type=float, default=250_000,
-                   help="cycles/s floor for direct entries "
-                        "(default %(default)s)")
-    p.add_argument("--min-cps-sharded", type=float, default=100_000,
-                   help="cycles/s floor for sharded entries "
-                        "(default %(default)s)")
-    p.add_argument("--min-shard-speedup", type=float, default=1.5,
-                   help="required sharded-vs-direct speedup when the host "
-                        "qualifies (default %(default)s)")
-    p.add_argument("--speedup-cpus", type=int, default=4,
-                   help="host CPUs (and shard workers) required before the "
-                        "speedup gate applies (default %(default)s)")
     args = p.parse_args()
 
-    if not (args.run or args.report or args.compare or args.check_sharded):
-        p.error("nothing to do: give --run, --report, --compare, "
-                "and/or --check-sharded")
+    if not (args.run or args.report or args.compare):
+        p.error("nothing to do: give --run, --report and/or --compare")
 
     if args.run:
         cmd = [args.run, "--out", args.out]
         if args.repeats is not None:
             cmd += ["--repeats", str(args.repeats)]
-        if args.legacy_scheduler:
-            cmd.append("--legacy-scheduler")
         print("+", " ".join(cmd))
         subprocess.run(cmd, check=True)
         if not args.report and not args.compare:
@@ -265,15 +148,8 @@ def main() -> int:
         report(args.report)
 
     if args.compare:
-        rc = compare(args.compare[0], args.compare[1], args.check,
-                     args.min_speedup)
-        if rc:
-            return rc
-
-    if args.check_sharded:
-        return check_sharded(args.check_sharded, args.min_cps_direct,
-                             args.min_cps_sharded, args.min_shard_speedup,
-                             args.speedup_cpus)
+        return compare(args.compare[0], args.compare[1], args.check,
+                       args.min_speedup)
     return 0
 
 

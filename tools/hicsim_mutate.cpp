@@ -50,14 +50,12 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: hicsim_mutate --app <name> --config <label> [--threads N]\n"
-      "                     [--shard-threads N] [--site NAME] [--recover]\n"
+      "                     [--site NAME] [--recover]\n"
       "                     [--json]\n"
       "  --app NAME      workload (hicsim_run --list)\n"
       "  --config LABEL  Table II configuration label\n"
       "  --threads N     worker threads (default: all cores)\n"
-      "  --shard-threads N  host worker threads for the sharded engine\n"
-      "                  (1..64; oracle-armed baseline runs overlap, the\n"
-      "                  mutated runs' armed fault plans serialize)\n"
+
       "  --site NAME     mutate only this annotation site\n"
       "  --recover       attach the recovery subsystem (src/resil); sites\n"
       "                  whose damage it repairs classify as 'recovered'\n"
@@ -87,10 +85,9 @@ struct RunOutcome {
 
 RunOutcome run_mutated(const std::string& app, Config cfg,
                        const MachineConfig& mc, int threads, AnnoSite site,
-                       bool recover, int shard_threads) {
+                       bool recover) {
   auto w = make_workload(app);
   Machine m(mc, cfg);
-  m.set_shard_threads(shard_threads);
   if (site != AnnoSite::kNone) {
     std::string spec = anno_site_is_wb(site) ? "elide-wb" : "elide-inv";
     spec += ":site=";
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
   std::string config_label;
   std::string only_site;
   int threads = 0;
-  int shard_threads = 0;
   bool json = false;
   bool recover = false;
 
@@ -149,15 +145,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       threads = std::atoi(v);
       if (threads < 1) return usage();
-    } else if (arg == "--shard-threads") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      shard_threads = std::atoi(v);
-      if (shard_threads < 1 || shard_threads > 64) {
-        std::fprintf(stderr, "--shard-threads must be in 1..64 (got '%s')\n",
-                     v);
-        return kExitUsage;
-      }
     } else if (arg == "--site") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -204,8 +191,7 @@ int main(int argc, char** argv) {
     // Baseline sanity: the unmutated program must be violation-free,
     // otherwise every classification below is meaningless.
     const RunOutcome base =
-        run_mutated(app, *cfg, mc, threads, AnnoSite::kNone, recover,
-                    shard_threads);
+        run_mutated(app, *cfg, mc, threads, AnnoSite::kNone, recover);
     if (base.hung || !base.verified || base.violations != 0) {
       std::fprintf(stderr,
                    "baseline run is not clean (hung=%d verified=%d "
@@ -218,8 +204,7 @@ int main(int argc, char** argv) {
     std::vector<SiteResult> results;
     std::uint64_t missed = 0;
     for (AnnoSite s : sites) {
-      const RunOutcome r =
-          run_mutated(app, *cfg, mc, threads, s, recover, shard_threads);
+      const RunOutcome r = run_mutated(app, *cfg, mc, threads, s, recover);
       SiteResult sr;
       sr.site = s;
       sr.fired = r.fired;

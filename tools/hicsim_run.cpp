@@ -116,9 +116,7 @@ int usage() {
                "                  [--inject <kind:k=v:...>]... "
                "[--recover] [--resil <k=v:...>]\n"
                "                  [--max-cycles N] [--slo-budget N]\n"
-               "                  [--time [--repeat N]] [--legacy-scheduler] "
-               "[--no-stale-monitor]\n"
-               "                  [--shard-threads N]\n"
+               "                  [--time [--repeat N]] [--no-stale-monitor]\n"
                "                  [--trace-out FILE [--trace-filter "
                "stall,op,sync,cache,wbuf,counter]\n"
                "                   [--trace-sample-cycles N]]\n"
@@ -139,11 +137,7 @@ int usage() {
                "default: no budget)\n"
                "--list-workloads: one line per registered workload with its "
                "Table I patterns\n"
-               "--shard-threads: run the sharded engine with N host worker "
-               "threads (1..64;\n"
-               "              bit-identical results, host wall-clock only; "
-               "incompatible with\n"
-               "              --legacy-scheduler)\n"
+
                "inject kinds: drop-wb drop-inv delay-wb delay-inv delay-noc "
                "corrupt-line elide-wb elide-inv\n"
                "inject keys:  p=<prob> seed=<u64> n=<max fires> "
@@ -223,9 +217,7 @@ int main(int argc, char** argv) {
   bool verify = true;
   bool no_functional = false;
   bool time_mode = false;
-  bool legacy_scheduler = false;
   bool no_stale_monitor = false;
-  int shard_threads = 0;  // 0 = single-thread direct handoff
   int repeat = 5;
   int threads = 0;  // 0 = all cores
   int meb = 0, ieb = 0;
@@ -325,19 +317,8 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       repeat = std::atoi(v);
-    } else if (arg == "--legacy-scheduler") {
-      legacy_scheduler = true;
     } else if (arg == "--no-stale-monitor") {
       no_stale_monitor = true;
-    } else if (arg == "--shard-threads") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      shard_threads = std::atoi(v);
-      if (shard_threads < 1 || shard_threads > 64) {
-        std::fprintf(stderr, "--shard-threads must be in 1..64 (got '%s')\n",
-                     v);
-        return kExitUsage;
-      }
     } else if (arg == "--inject") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -403,12 +384,6 @@ int main(int argc, char** argv) {
                  "tracking perturbs the host-perf measurement\n");
     return kExitUsage;
   }
-  if (shard_threads > 0 && legacy_scheduler) {
-    std::fprintf(stderr,
-                 "--shard-threads is incompatible with --legacy-scheduler "
-                 "(sharding builds on the direct-handoff fiber engine)\n");
-    return kExitUsage;
-  }
 
   try {
     // Knob application is per-instance: --time remakes the workload every
@@ -467,16 +442,14 @@ int main(int argc, char** argv) {
     if (slack > 0) mc.sim_slack_cycles = static_cast<Cycle>(slack);
     if (max_cycles > 0) mc.watchdog_max_cycles = static_cast<Cycle>(max_cycles);
     if (no_functional) mc.functional_data = false;
-    if (legacy_scheduler) mc.legacy_scheduler = true;
     if (no_stale_monitor) mc.staleness_monitor = false;
-    for (const auto& kv : set_overrides) apply_config_set(mc, kv);
-    mc.validate();
-    // Re-check after overrides: `--set legacy_scheduler=true` must hit the
-    // same usage error as --legacy-scheduler instead of a CHECK at run time.
-    if (shard_threads > 0 && mc.legacy_scheduler) {
-      std::fprintf(stderr,
-                   "--shard-threads is incompatible with the legacy scheduler "
-                   "(set via --set legacy_scheduler=true)\n");
+    // A --set the machine rejects (unknown key, bad value, the removed
+    // legacy_scheduler=true) is a usage error, not a run failure.
+    try {
+      for (const auto& kv : set_overrides) apply_config_set(mc, kv);
+      mc.validate();
+    } catch (const CheckFailure& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return kExitUsage;
     }
     const int n = threads > 0 ? threads : mc.total_cores();
@@ -494,7 +467,6 @@ int main(int argc, char** argv) {
         for (const auto& spec : inject_specs)
           last->add_fault_rule(parse_fault_rule(spec));
         if (recover) last->enable_recovery(parse_resil_options(resil_spec));
-        last->set_shard_threads(shard_threads);
         const Cycle cy = run_workload(*wr, *last, n);
         w = std::move(wr);  // keep the workload that matches `last`
         return cy;
@@ -534,7 +506,6 @@ int main(int argc, char** argv) {
     for (const auto& spec : inject_specs)
       m.add_fault_rule(parse_fault_rule(spec));
     if (recover) m.enable_recovery(parse_resil_options(resil_spec));
-    m.set_shard_threads(shard_threads);
     std::unique_ptr<Tracer> tracer;
     if (!trace_out.empty()) {
       TraceOptions topts;
